@@ -119,12 +119,11 @@ def instrument(tracer: Tracer) -> None:
 
     pm(CheckpointCoordinator, "begin_participation", "mana.coordinator",
        measure=lambda a, k, r: {"rank0": 1.0 if a[1] == 0 else 0.0})
-    for name in ("quiesce", "drained", "saved", "resumed", "abort_round",
+    for name in ("quiesce", "drained", "saved", "resumed",
                  "trivial_barrier", "request_checkpoint",
                  "checkpoint_at_iteration", "note_loop_progress"):
         pm(CheckpointCoordinator, name, "mana.coordinator")
-    pf(drain, "run_drain", "mana.drain",
-       measure=lambda a, k, r: {"msgs": float(r)})
+    pf(drain, "run_drain", "mana.drain")
     pf(drain, "redistribute_drain_buffers", "mana.drain")
 
     for name in ("save_image", "save_chunked_image", "save_chunked_blob",
@@ -278,9 +277,6 @@ def derive(records, untraced_wall: float, traced_wall: float,
             "count"),
         "mana.coordinator.gate_wait_s": (
             s.incl_s("mana.coordinator", GATES), "s"),
-        "mana.coordinator.round_retries": (
-            s.calls("mana.coordinator", ("abort_round",)), "count"),
-        "mana.drain.msgs": (s.extra("mana.drain", "msgs"), "count"),
         "mana.drain.s": (s.incl_s("mana.drain", ("run_drain",)), "s"),
         "mana.checkpoint.encode_self_s": (
             s.self_cpu("mana.checkpoint", ("save_image", "save_chunked_image",

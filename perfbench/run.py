@@ -32,7 +32,7 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 #: Set-up is timed in this many fresh interpreters; the median is reported.
-SETUP_PROBES = 5
+SETUP_PROBES = 15
 
 
 def _bootstrap() -> None:
@@ -64,11 +64,13 @@ def _measure_setup(args, workdir: str) -> float:
         probe_dir = os.path.join(workdir, f"setup-probe-{i}")
         os.makedirs(probe_dir)
         t0 = time.perf_counter()
+        # No timeout: with one, the wait polls in sleeps of up to 50 ms,
+        # and the measured time snaps to that grid.
         subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--setup-probe",
              probe_dir, "--workload", args.workload,
              "--seed", str(args.seed)],
-            check=True, timeout=120, stdout=subprocess.DEVNULL,
+            check=True, stdout=subprocess.DEVNULL,
         )
         times.append(time.perf_counter() - t0)
         shutil.rmtree(probe_dir, ignore_errors=True)
@@ -80,9 +82,10 @@ def _peak_rss_mb() -> float:
 
 
 def tail_percentile(n: int) -> int:
-    """Highest whole percentile with at least ten samples beyond it
-    (never below the median)."""
-    return max(50, 100 * (n - 10) // n) if n else 50
+    """Highest whole percentile that ``n`` samples support: with linear
+    interpolation it still leaves two samples above it (never below the
+    median)."""
+    return max(50, 100 * (n - 3) // (n - 1)) if n > 3 else 50
 
 
 def _run_passes(wl, seconds: float, min_passes: int, out: list) -> None:

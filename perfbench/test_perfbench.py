@@ -80,15 +80,14 @@ def test_self_time_of_nested_spans_on_two_threads():
     top_r, mid_r, leaf_r = (recs[("", n, n)] for n in ("top", "middle",
                                                         "leaf"))
     assert top_r.calls == 2 and mid_r.calls == 2 and leaf_r.calls == 4
-    assert top_r.incl_s == pytest.approx(4.75 * k)
-    assert top_r.self_s == pytest.approx(0.5 * k)
-    assert mid_r.incl_s == pytest.approx(4.0 * k)
-    assert mid_r.self_s == pytest.approx(2.0 * k)
-    assert leaf_r.self_s == leaf_r.incl_s == pytest.approx(2.25 * k)
-    assert top_r.self_cpu == pytest.approx(top_r.self_s)
+    assert top_r.incl_cpu == top_r.incl_s == pytest.approx(4.75 * k)
+    assert top_r.self_cpu == pytest.approx(0.5 * k)
+    assert mid_r.incl_cpu == pytest.approx(4.0 * k)
+    assert mid_r.self_cpu == pytest.approx(2.0 * k)
+    assert leaf_r.self_cpu == leaf_r.incl_cpu == pytest.approx(2.25 * k)
     # Self times partition the root spans exactly.
-    total_self = sum(r.self_s for r in recs.values())
-    assert total_self == pytest.approx(top_r.incl_s)
+    total_self = sum(r.self_cpu for r in recs.values())
+    assert total_self == pytest.approx(top_r.incl_cpu)
 
 
 def test_calls_within_one_layer_pass_through():
@@ -100,26 +99,26 @@ def test_calls_within_one_layer_pass_through():
     recs = tracer.records()
     assert ("", "L", "inner") not in recs
     assert recs[("", "L", "outer")].calls == 1
-    assert recs[("", "L", "outer")].self_s == pytest.approx(2.0)
+    assert recs[("", "L", "outer")].self_cpu == pytest.approx(2.0)
 
 
 def test_patch_function_rebinds_from_imports_and_unpatches():
-    a = types.ModuleType("fakepkg_a")
-    b = types.ModuleType("fakepkg_b")
+    a = types.ModuleType("repro_fake_a")
+    b = types.ModuleType("repro_fake_b")
     a.f = lambda: 1
-    b.f = a.f             # what ``from fakepkg_a import f`` leaves in b
+    b.f = a.f             # what ``from repro_fake_a import f`` leaves in b
     orig = a.f
-    sys.modules.update(fakepkg_a=a, fakepkg_b=b)
+    sys.modules.update(repro_fake_a=a, repro_fake_b=b)
     try:
         tracer = Tracer()
-        assert tracer.patch_function(a, "f", "fake",
-                                     rebind_prefix="fakepkg") == 2
+        tracer.patch_function(a, "f", "fake")
+        assert a.f is not orig and b.f is a.f
         assert b.f() == 1
         assert tracer.records()[("", "fake", "f")].calls == 1
         tracer.unpatch()
         assert a.f is orig and b.f is orig
     finally:
-        del sys.modules["fakepkg_a"], sys.modules["fakepkg_b"]
+        del sys.modules["repro_fake_a"], sys.modules["repro_fake_b"]
 
 
 def test_required_entry_points_without_calls_are_reported():

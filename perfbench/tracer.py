@@ -6,9 +6,9 @@ per call, and puts the originals back afterwards.  Each span is charged
 to a *layer* (a module of the program, e.g. ``mana.virtid``) and an
 *operation* (the entry point's name).
 
-Self time is computed per thread: a span's self time is its duration
-minus the durations of the child spans that ran inside it on the same
-thread.  Calls that stay inside one layer (a method of the layer calling
+Self time is computed per thread, on the thread's CPU clock: a span's
+self time is its CPU time minus that of the child spans that ran inside
+it on the same thread.  Calls that stay inside one layer (a method of the layer calling
 another of its own entry points, or ``super()``) pass straight through,
 so counts are calls *into* a layer and its self time is counted once.
 
@@ -32,13 +32,11 @@ Key = Tuple[str, str, str]
 class Record:
     """Aggregated spans of one (case, layer, op)."""
 
-    __slots__ = ("calls", "incl_s", "self_s", "incl_cpu", "self_cpu",
-                 "extra")
+    __slots__ = ("calls", "incl_s", "incl_cpu", "self_cpu", "extra")
 
     def __init__(self) -> None:
         self.calls = 0
         self.incl_s = 0.0      # wall seconds
-        self.self_s = 0.0
         self.incl_cpu = 0.0    # the thread's CPU seconds
         self.self_cpu = 0.0
         self.extra: Dict[str, float] = {}
@@ -46,7 +44,6 @@ class Record:
     def merge(self, other: "Record") -> None:
         self.calls += other.calls
         self.incl_s += other.incl_s
-        self.self_s += other.self_s
         self.incl_cpu += other.incl_cpu
         self.self_cpu += other.self_cpu
         for k, v in other.extra.items():
@@ -56,7 +53,6 @@ class Record:
         """Multiply every sum by ``factor`` (e.g. to get per-pass values)."""
         self.calls *= factor
         self.incl_s *= factor
-        self.self_s *= factor
         self.incl_cpu *= factor
         self.self_cpu *= factor
         for k in self.extra:
@@ -68,7 +64,7 @@ class Tracer:
 
     Each span is timed twice: by ``clock`` (wall time, which includes
     blocking and waiting for the interpreter lock) and by ``cpu_clock``
-    (the calling thread's CPU time, which does not).  Both are
+    (the calling thread's CPU time, which does not; self time uses it).  Both are
     injectable so the self-time arithmetic can be tested with scripted
     timestamps.
     """
@@ -111,8 +107,8 @@ class Tracer:
             stack, table = tracer._thread_state()
             if stack and stack[-1][0] == layer:
                 return fn(*args, **kwargs)
-            # [layer, wall seconds of children, CPU seconds of children]
-            frame = [layer, 0.0, 0.0]
+            # [layer, CPU seconds of children]
+            frame = [layer, 0.0]
             stack.append(frame)
             t0, c0 = clock(), cpu_clock()
             try:
@@ -121,17 +117,15 @@ class Tracer:
                 dur, cpu = clock() - t0, cpu_clock() - c0
                 stack.pop()
                 if stack:
-                    stack[-1][1] += dur
-                    stack[-1][2] += cpu
+                    stack[-1][1] += cpu
                 key = (tracer.case, layer, op)
                 rec = table.get(key)
                 if rec is None:
                     rec = table[key] = Record()
                 rec.calls += 1
                 rec.incl_s += dur
-                rec.self_s += dur - frame[1]
                 rec.incl_cpu += cpu
-                rec.self_cpu += cpu - frame[2]
+                rec.self_cpu += cpu - frame[1]
             if measure is not None:
                 for k, v in measure(args, kwargs, result).items():
                     rec.extra[k] = rec.extra.get(k, 0.0) + v
@@ -187,26 +181,21 @@ class Tracer:
 
     def patch_function(self, module: types.ModuleType, name: str, layer: str,
                        op: Optional[str] = None,
-                       measure: Optional[Callable] = None,
-                       rebind_prefix: str = "repro") -> int:
+                       measure: Optional[Callable] = None) -> None:
         """Wrap module function ``module.name`` and every alias of it.
 
         A caller that did ``from module import name`` holds its own
-        reference, so every loaded module under ``rebind_prefix`` whose
-        global binds the same object is rebound too.  Returns the number
-        of bindings replaced.
+        reference, so every loaded module of the program (``repro*``)
+        whose global binds the same object is rebound too.
         """
         orig = getattr(module, name)
         wrapped = self.wrap(layer, op or name, orig, measure)
-        n = 0
         for mod_name, mod in list(sys.modules.items()):
-            if mod is None or not mod_name.startswith(rebind_prefix):
+            if mod is None or not mod_name.startswith("repro"):
                 continue
             for attr, val in list(vars(mod).items()):
                 if val is orig:
                     self._set(mod, attr, wrapped)
-                    n += 1
-        return n
 
     def patch_module_attr(self, module: types.ModuleType, name: str,
                           value) -> None:
