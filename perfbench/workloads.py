@@ -185,8 +185,9 @@ class MatrixWorkload(Workload):
 
     name = "matrix"
     #: Enough blocks that per-call work, not job start-up and thread
-    #: wake-ups, dominates each case, while a 50-second run still holds
-    #: three passes.
+    #: wake-ups, dominates each case, while a pass with its Table 3 leg
+    #: (~20 s on a 2-CPU box) still fits at least twice in a 50-second
+    #: run.
     blocks = 12
 
     def _spec(self, app: str):
