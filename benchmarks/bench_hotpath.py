@@ -1,4 +1,4 @@
-"""Hot-path bench: translation fast lane + parallel harness speedups.
+"""Hot-path bench: translation fast lane, handle inserts, parallel harness.
 
 Writes ``benchmarks/results/BENCH_hotpath.json`` (the baseline that
 ``python -m repro bench-smoke`` regresses against).
@@ -47,6 +47,12 @@ def main() -> int:
         f"\nvid fast lane : {vid['fast_lookups_per_sec'] / 1e6:.2f} M/s "
         f"({vid['speedup_vs_legacy']:.1f}x legacy design, "
         f"{vid['speedup_vs_slow']:.1f}x uncached path)"
+    )
+    ins = result["insert"]
+    print(
+        f"handle insert : MPICH {ins['mpich_insert_us']:.2f} us vs "
+        f"Open MPI {ins['openmpi_insert_us']:.2f} us "
+        f"({ins['mpich_over_openmpi']:.1f}x)"
     )
     print(
         f"figure2 sweep : {fig['serial_seconds']:.1f}s serial -> "

@@ -149,7 +149,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_bench_smoke(args) -> int:
-    from repro.harness.bench import default_baseline_path, smoke
+    from repro.harness.bench import (
+        MAX_INSERT_RATIO,
+        default_baseline_path,
+        smoke,
+    )
 
     try:
         out = smoke(baseline_path=args.baseline,
@@ -164,11 +168,12 @@ def _cmd_bench_smoke(args) -> int:
         mark = "ok " if c["ok"] else "FAIL"
         slow = (f"  ({c['slowdown']:.2f}x slower than baseline)"
                 if c["slowdown"] is not None else "")
-        print(f"[{mark}] {c['metric']}: {c['current']:,.0f} "
-              f"(baseline {c['baseline']:,.0f}){slow}")
+        print(f"[{mark}] {c['metric']}: {c['current']:,.1f} "
+              f"(baseline {c['baseline']:,.1f}){slow}")
     if not out["ok"]:
         print(f"bench-smoke: hot-path regression beyond "
-              f"{out['max_regression']}x tolerance")
+              f"{out['max_regression']}x tolerance (or an MPICH insert "
+              f"over {MAX_INSERT_RATIO:g}x an Open MPI insert)")
         return 1
     print("bench-smoke: hot path within tolerance")
     return 0

@@ -12,12 +12,16 @@ Two measurements back the fast-lane work (see docs/PROTOCOLS.md §8):
 * **figure2 sweep** — wall-clock for the Figure 2 sweep run serially vs
   with ``--jobs N`` workers, asserting the rendered values are
   byte-identical (virtual time is scheduling-independent).
+* **handle insert** — µs per dynamic-handle insert in the MPICH two-level
+  table and the Open MPI pointer heap, timed in the same run.  Their
+  ratio does not depend on the machine's speed.
 
 ``python -m repro bench-smoke`` runs a tiny version of the
 microbenchmark and fails when throughput regresses more than
 ``max_regression``× against the checked-in baseline
 (benchmarks/results/BENCH_hotpath.json), making hot-path regressions a
-CI failure rather than a surprise.
+CI failure rather than a surprise.  It also fails when an MPICH insert
+costs more than ``MAX_INSERT_RATIO``× an Open MPI insert.
 """
 
 from __future__ import annotations
@@ -126,6 +130,50 @@ def bench_vid_lookup(n: int = 200_000, entries: int = 64,
 
 
 # ----------------------------------------------------------------------
+# handle insert: MPICH two-level table vs Open MPI pointer heap
+# ----------------------------------------------------------------------
+#: Bound on MPICH µs per insert over Open MPI µs per insert.  Measured
+#: 5-9x with lazily built pages and 100-200x when every insert built a
+#: 65,536-slot page list and threw it away.
+MAX_INSERT_RATIO = 25.0
+
+
+def bench_handle_insert(n: int = 2_000, repeats: int = 3) -> Dict:
+    """Best-of-``repeats`` µs per dynamic-handle insert, per design.
+
+    Each timing inserts ``n`` requests into a fresh handle space after
+    one untimed insert, so the MPICH page the inserts land in exists.
+    """
+    from repro.impls.mpich import TwoLevelHandleSpace
+    from repro.impls.openmpi import PointerHandleSpace
+    from repro.mpi.api import HandleKind
+    from repro.util.rng import DeterministicRng
+
+    kind = HandleKind.REQUEST
+    obj = object()
+
+    def per_insert_us(make_space) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            insert = make_space().insert
+            insert(kind, obj)
+            t0 = time.perf_counter()
+            for _ in range(n):
+                insert(kind, obj)
+            best = min(best, time.perf_counter() - t0)
+        return 1e6 * best / n
+
+    mpich = per_insert_us(TwoLevelHandleSpace)
+    openmpi = per_insert_us(lambda: PointerHandleSpace(DeterministicRng(0)))
+    return {
+        "n": n,
+        "mpich_insert_us": mpich,
+        "openmpi_insert_us": openmpi,
+        "mpich_over_openmpi": mpich / openmpi,
+    }
+
+
+# ----------------------------------------------------------------------
 # figure2 sweep: serial vs --jobs wall-clock
 # ----------------------------------------------------------------------
 def bench_figure2_sweep(scale: float = 0.12,
@@ -177,6 +225,7 @@ def run_hotpath_bench(out_path: Optional[str] = None,
     result = {
         "python": _platform.python_version(),
         "vid": bench_vid_lookup(n=n),
+        "insert": bench_handle_insert(),
         "figure2": bench_figure2_sweep(scale, ranks_cap, jobs),
     }
     if out_path:
@@ -249,8 +298,9 @@ def bench_checkpoint(payload_mb: float = 4.0,
 
     Then restores generation 3 (full reassembly + per-chunk sha256
     verification) and, for comparison, saves the same state in the
-    monolithic format-4 layout; ``warm_vs_format4_wallclock`` is the
-    second acceptance number (≤ 2).
+    monolithic format-4 layout.  The async ranks' blocked time over the
+    format-4 save, ``blocked_vs_format4_wallclock``, must be ≤ 2, and
+    the sync warm save's, ``warm_vs_format4_wallclock``, ≤ 6.
     """
     import shutil
     import tempfile
@@ -538,13 +588,15 @@ def ckpt_smoke(baseline_path: Optional[str] = None,
 def smoke(baseline_path: Optional[str] = None,
           max_regression: float = 5.0,
           n: int = 20_000) -> Dict:
-    """Tiny vid bench vs the checked-in baseline.
+    """Tiny vid bench vs the checked-in baseline, plus the insert ratio.
 
     Compares lookups/second (scale-invariant in ``n``); ``ok`` is False
     when the fast lane is more than ``max_regression`` times slower than
     the baseline recorded.  Machine variance is far below 5x; a failure
     means the fast lane is gone (e.g. an invalidation bug made every
-    hit a miss) or the hot path grew accidental work.
+    hit a miss) or the hot path grew accidental work.  ``ok`` is also
+    False when an MPICH handle insert costs more than
+    ``MAX_INSERT_RATIO`` Open MPI inserts.
     """
     baseline_path = baseline_path or default_baseline_path()
     with open(baseline_path) as f:
@@ -574,5 +626,16 @@ def smoke(baseline_path: Optional[str] = None,
         "current": now["speedup_vs_legacy"],
         "slowdown": None,
         "ok": faster,
+    })
+    # Same-run ratio against an absolute bound (listed as the baseline).
+    ratio = bench_handle_insert(n=500)["mpich_over_openmpi"]
+    cheap = ratio <= MAX_INSERT_RATIO
+    ok = ok and cheap
+    checks.append({
+        "metric": "mpich_over_openmpi_insert",
+        "baseline": MAX_INSERT_RATIO,
+        "current": ratio,
+        "slowdown": None,
+        "ok": cheap,
     })
     return {"ok": ok, "max_regression": max_regression, "checks": checks}

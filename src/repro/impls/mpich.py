@@ -95,7 +95,12 @@ class TwoLevelHandleSpace(HandleSpace):
                 self._next[kind] = ((page + 1) % NUM_PAGES, 0)
             else:
                 self._next[kind] = (page, slot + 1)
-        table = self._pages[kind].setdefault(page, [None] * PAGE_SLOTS)
+        # Build a page's slot list only on its first insert: a 65,536-slot
+        # list per call would dominate every dynamic-handle insert.
+        pages = self._pages[kind]
+        table = pages.get(page)
+        if table is None:
+            table = pages[page] = [None] * PAGE_SLOTS
         table[slot] = obj
         return HANDLE_LAYOUT.pack(
             category=CATEGORY_DYNAMIC,

@@ -85,6 +85,16 @@ class CommRecord:
         g = self.ggid if self.ggid is not None else ggid_of(self.world_ranks)
         return (g, self.dup_seq)
 
+    def __getstate__(self) -> dict:
+        # The ledgers fill in message-arrival order, which varies with
+        # the thread schedule.  Pickle them in world-rank order so the
+        # checkpoint image, its compressed size and the virtual time
+        # charged for it do not depend on the schedule.
+        state = dict(self.__dict__)
+        state["sent_to"] = dict(sorted(self.sent_to.items()))
+        state["received_from"] = dict(sorted(self.received_from.items()))
+        return state
+
 
 @dataclass
 class GroupRecord:

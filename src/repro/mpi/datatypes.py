@@ -52,9 +52,21 @@ class TypeDescriptor:
     """Abstract base of the datatype algebra."""
 
     # Per-instance caches (descriptors are immutable after construction):
-    # the compiled block table and the most recent flat index array.
+    # the compiled block table, the most recent flat index array and the
+    # is_dense() answer.  They are derived data, never pickled.
     _blocks_cache: Optional[np.ndarray] = None
     _flat_cache: Optional[Tuple[int, np.ndarray]] = None
+    _dense_cache: Optional[bool] = None
+    _CACHE_ATTRS = ("_blocks_cache", "_flat_cache", "_dense_cache")
+
+    def __getstate__(self) -> dict:
+        # A descriptor reached through a DatatypeRecord rides inside the
+        # checkpoint image; its caches must not change the image bytes.
+        state = self.__dict__
+        if any(a in state for a in self._CACHE_ATTRS):
+            state = {k: v for k, v in state.items()
+                     if k not in self._CACHE_ATTRS}
+        return state
 
     def compiled_blocks(self) -> np.ndarray:
         """Cached :meth:`blocks` — packing compiles the typemap once."""
@@ -104,9 +116,11 @@ class TypeDescriptor:
         ext = self.extent()
         if blocks.size == 0 or count == 0:
             return np.empty(0, dtype=np.int64)
-        # Expand each (offset, length) block into its byte indices.
-        per_elem = np.concatenate(
-            [np.arange(off, off + ln, dtype=np.int64) for off, ln in blocks]
+        # Expand each (offset, length) block into its byte indices: byte
+        # j of the packed element sits at offs[b] + (j - first_j[b]).
+        offs, lens = blocks[:, 0], blocks[:, 1]
+        per_elem = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(
+            offs - (np.cumsum(lens) - lens), lens
         )
         # Element e starts at e * extent; typemap offsets are absolute
         # from the buffer origin (MPI semantics).  Types whose typemap
@@ -126,13 +140,16 @@ class TypeDescriptor:
     def is_dense(self) -> bool:
         """True when one element is a single contiguous block starting at
         its lower bound and extent == size (so packing is a memcpy)."""
-        blocks = self.compiled_blocks()
-        return (
-            blocks.shape[0] == 1
-            and self.lower_bound() == 0
-            and int(blocks[0, 0]) == 0
-            and int(blocks[0, 1]) == self.size() == self.extent()
-        )
+        dense = self._dense_cache
+        if dense is None:
+            blocks = self.compiled_blocks()
+            dense = self._dense_cache = (
+                blocks.shape[0] == 1
+                and self.lower_bound() == 0
+                and int(blocks[0, 0]) == 0
+                and int(blocks[0, 1]) == self.size() == self.extent()
+            )
+        return dense
 
     def pack(self, buf: np.ndarray, count: int) -> bytes:
         """Gather ``count`` elements from ``buf`` into contiguous bytes."""
@@ -526,14 +543,12 @@ def _merge_blocks(blocks: np.ndarray) -> np.ndarray:
     """Merge byte blocks that are exactly adjacent (in typemap order)."""
     if blocks.shape[0] <= 1:
         return blocks
-    merged = [list(blocks[0])]
-    for off, ln in blocks[1:]:
-        last = merged[-1]
-        if last[0] + last[1] == off:
-            last[1] += ln
-        else:
-            merged.append([off, ln])
-    return np.array(merged, dtype=np.int64)
+    offs, lens = blocks[:, 0], blocks[:, 1]
+    # A run starts wherever a block does not begin at its predecessor's end.
+    starts = np.flatnonzero(
+        np.concatenate(([True], offs[:-1] + lens[:-1] != offs[1:]))
+    )
+    return np.stack([offs[starts], np.add.reduceat(lens, starts)], axis=1)
 
 
 def _as_bytes(buf: np.ndarray) -> np.ndarray:

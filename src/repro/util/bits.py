@@ -56,6 +56,12 @@ class BitField:
         self._by_name: Dict[str, _Field] = {f.name: f for f in self._fields}
         if len(self._by_name) != len(self._fields):
             raise ValueError("duplicate field names")
+        # pack/unpack run on every handle translation: precompute the
+        # (name, shift, mask) of each field once.
+        self._layout: Tuple[Tuple[str, int, int], ...] = tuple(
+            (f.name, f.shift, mask(f.width)) for f in self._fields
+        )
+        self._word_mask = mask(width)
 
     @property
     def field_names(self) -> Tuple[str, ...]:
@@ -70,25 +76,35 @@ class BitField:
 
         Every declared field must be given; values must fit their width.
         """
-        if set(values) != set(self._by_name):
-            missing = set(self._by_name) - set(values)
-            extra = set(values) - set(self._by_name)
-            raise ValueError(f"bad fields: missing={missing}, extra={extra}")
+        if len(values) != len(self._layout):
+            raise self._bad_fields(values)
         word = 0
-        for f in self._fields:
-            v = values[f.name]
-            if not 0 <= v <= mask(f.width):
+        for name, shift, m in self._layout:
+            try:
+                v = values[name]
+            except KeyError:
+                raise self._bad_fields(values) from None
+            if not 0 <= v <= m:
+                # A wrong field set is reported ahead of a bad value.
+                if values.keys() != self._by_name.keys():
+                    raise self._bad_fields(values)
                 raise ValueError(
-                    f"value {v} does not fit field {f.name!r} ({f.width} bits)"
+                    f"value {v} does not fit field {name!r} "
+                    f"({self._by_name[name].width} bits)"
                 )
-            word |= v << f.shift
+            word |= v << shift
         return word
+
+    def _bad_fields(self, values: Dict[str, int]) -> ValueError:
+        missing = set(self._by_name) - set(values)
+        extra = set(values) - set(self._by_name)
+        return ValueError(f"bad fields: missing={missing}, extra={extra}")
 
     def unpack(self, word: int) -> Dict[str, int]:
         """Decode an integer into its named fields."""
-        if not 0 <= word <= mask(self.width):
+        if not 0 <= word <= self._word_mask:
             raise ValueError(f"word {word:#x} exceeds {self.width} bits")
-        return {f.name: (word >> f.shift) & mask(f.width) for f in self._fields}
+        return {name: (word >> shift) & m for name, shift, m in self._layout}
 
     def extract(self, word: int, name: str) -> int:
         """Extract a single field without decoding the rest."""

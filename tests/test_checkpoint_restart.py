@@ -5,10 +5,15 @@ application state equals that of an uninterrupted run — no lost messages,
 no duplicated work, all MPI objects semantically reconstructed.
 """
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import CheckpointKind, CheckpointMode, JobConfig, Launcher
+from repro.apps import HpcgProxy
+from repro.mana.records import CommRecord
 from repro.util.errors import CheckpointError
 from tests.conftest import ALL_IMPLS
 from tests.miniapps import PendingIrecvApp, RingApp, SkewedSendersApp
@@ -220,3 +225,38 @@ def test_checkpoint_image_sizes_reported():
     )
     assert len(info["bytes_per_rank"]) == NRANKS
     assert all(b > 100 for b in info["bytes_per_rank"])
+
+
+def test_ledgers_pickle_in_world_rank_order():
+    a = CommRecord(world_ranks=(0, 1, 2, 3), ggid=7, dup_seq=0)
+    b = CommRecord(world_ranks=(0, 1, 2, 3), ggid=7, dup_seq=0)
+    for peer in (3, 0, 2, 1):
+        a.sent_to[peer] = peer + 1
+        a.received_from[(peer + 1) % 4] = peer
+    for peer in (1, 2, 0, 3):
+        b.sent_to[peer] = peer + 1
+        b.received_from[(peer + 1) % 4] = peer
+    assert pickle.dumps(a) == pickle.dumps(b)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and list(back.sent_to) == [0, 1, 2, 3]
+
+
+def test_checkpointed_runtime_is_deterministic(tmp_path):
+    # Ledger order and the rounding of the idle total follow message
+    # arrival unless normalised; either reaches the image's compressed
+    # size and from there the charged virtual time.
+    nranks = 8
+    spec = replace(HpcgProxy.paper_config("discovery"), nranks=nranks,
+                   blocks=6, seed=5)
+    runtimes = set()
+    for i in range(3):
+        cfg = JobConfig(nranks=nranks, seed=5, impl="mpich", mana=True,
+                        ckpt_dir=str(tmp_path / f"ck{i}"), loop_lag_window=1)
+        job = Launcher(cfg).launch(lambda r: HpcgProxy(spec))
+        for it in (1, 3):
+            job.checkpoint_at_iteration("main", it, kind=CheckpointKind.LOOP,
+                                        mode=CheckpointMode.CONTINUE)
+        res = job.run(timeout=120)
+        assert res.status == "completed", res.first_error()
+        runtimes.add(res.runtime)
+    assert len(runtimes) == 1, sorted(runtimes)

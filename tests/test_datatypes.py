@@ -4,12 +4,15 @@ These invariants carry MANA's restart correctness: a datatype decoded
 via envelope/contents and rebuilt must pack identically.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import constants as C
+from repro.mpi import datatypes as _dt
 from repro.mpi.datatypes import (
     ContiguousType,
     IndexedType,
@@ -281,3 +284,192 @@ def test_property_pack_unpack_roundtrip(t: TypeDescriptor, count: int):
     # Every byte the typemap touches must have been copied verbatim.
     payload2 = t.pack(dst, count)
     assert payload2 == payload
+
+
+# ----------------------------------------------------------------------
+# vectorized compile vs the loop implementations it replaced
+# ----------------------------------------------------------------------
+
+
+def _loop_merge_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Reference: the per-block merge loop."""
+    if blocks.shape[0] <= 1:
+        return blocks
+    merged = [list(blocks[0])]
+    for off, ln in blocks[1:]:
+        last = merged[-1]
+        if last[0] + last[1] == off:
+            last[1] += ln
+        else:
+            merged.append([off, ln])
+    return np.array(merged, dtype=np.int64)
+
+
+def _loop_flat_byte_indices(t: TypeDescriptor, count: int) -> np.ndarray:
+    """Reference: one ``np.arange`` per block."""
+    blocks = t.compiled_blocks()
+    if blocks.size == 0 or count == 0:
+        return np.empty(0, dtype=np.int64)
+    per_elem = np.concatenate(
+        [np.arange(off, off + ln, dtype=np.int64) for off, ln in blocks]
+    )
+    starts = np.arange(count, dtype=np.int64) * t.extent()
+    idx = (starts[:, None] + per_elem[None, :]).reshape(-1)
+    if idx.size and idx.min() < 0:
+        raise MpiError(
+            "types with a negative lower bound are not supported by "
+            "the simulated buffers",
+            error_class="MPI_ERR_TYPE",
+        )
+    return idx
+
+
+def _same_outcome(fn_a, fn_b):
+    """Both return equal int64 arrays, or both raise the same MpiError."""
+    try:
+        a = fn_a()
+    except MpiError as e:
+        with pytest.raises(MpiError) as e2:
+            fn_b()
+        assert str(e2.value) == str(e)
+        return
+    b = fn_b()
+    assert a.dtype == b.dtype == np.int64
+    assert a.shape == b.shape and np.array_equal(a, b)
+
+
+# Trees that reach zero-length blocks, adjacent block chains (stride ==
+# blocklength, back-to-back struct members) and negative lower bounds.
+_compile_leaves = st.sampled_from(
+    [NamedType(n, C.PREDEFINED_DATATYPES[n])
+     for n in ("MPI_DOUBLE", "MPI_INT", "MPI_BYTE", "MPI_INT16_T")]
+)
+
+
+def _compile_derived(children):
+    small = st.integers(0, 3)
+    return st.one_of(
+        st.builds(ContiguousType, small, children),
+        st.builds(VectorType, small, small, st.integers(-3, 4), children),
+        st.builds(
+            lambda pairs, base: IndexedType(
+                [p[0] for p in pairs], [p[1] for p in pairs], base),
+            st.lists(st.tuples(small, st.integers(-2, 6)), max_size=4),
+            children,
+        ),
+        st.builds(
+            lambda members: StructType(
+                [m[0] for m in members], [m[1] for m in members],
+                [m[2] for m in members]),
+            st.lists(st.tuples(small, st.integers(-8, 40), children),
+                     max_size=3),
+        ),
+    )
+
+
+compile_trees = st.recursive(_compile_leaves, _compile_derived, max_leaves=5)
+
+
+@given(compile_trees, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_property_flat_indices_match_loop(t: TypeDescriptor, count: int):
+    _same_outcome(lambda: _loop_flat_byte_indices(t, count),
+                  lambda: t._flat_byte_indices(count))
+
+
+@given(compile_trees)
+@settings(max_examples=150, deadline=None)
+def test_property_compiled_blocks_match_loop_merge(t: TypeDescriptor):
+    # blocks() recompiles the whole tree, merging at every level.
+    vectorized = t.blocks()
+    saved = _dt._merge_blocks
+    _dt._merge_blocks = _loop_merge_blocks
+    try:
+        reference = t.blocks()
+    finally:
+        _dt._merge_blocks = saved
+    assert vectorized.dtype == reference.dtype == np.int64
+    assert vectorized.shape == reference.shape
+    assert np.array_equal(vectorized, reference)
+
+
+_block_rows = st.lists(
+    st.tuples(st.integers(-20, 60), st.integers(0, 6)), max_size=12
+)
+
+
+@given(_block_rows, st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_merge_blocks_matches_loop(rows, data):
+    # Half the time turn the rows into a chain of adjacent blocks, so
+    # long merges (including zero-length links) are common.
+    if rows and data.draw(st.booleans()):
+        off = rows[0][0]
+        chained = []
+        for _, ln in rows:
+            chained.append((off, ln))
+            off += ln
+        rows = chained
+    blocks = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    got = _dt._merge_blocks(blocks)
+    ref = _loop_merge_blocks(blocks)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_merge_blocks_edge_cases():
+    cases = [
+        [[0, 4], [4, 0], [4, 4]],        # zero-length link in a chain
+        [[0, 4], [8, 0], [8, 4]],        # zero-length block opens a run
+        [[0, 0], [0, 0]],                # only empty blocks
+        [[16, 4], [0, 4], [4, 4]],       # typemap order, not sorted
+        [[0, 4], [4, 4], [8, 4], [12, 4]],  # one run
+    ]
+    for rows in cases:
+        blocks = np.array(rows, dtype=np.int64)
+        assert np.array_equal(_dt._merge_blocks(blocks),
+                              _loop_merge_blocks(blocks)), rows
+
+
+def test_negative_lower_bound_error_unchanged():
+    t = VectorType(2, 1, -2, INT)
+    assert t.lower_bound() < 0
+    with pytest.raises(MpiError, match="negative lower bound") as e:
+        t._flat_byte_indices(1)
+    assert e.value.error_class == "MPI_ERR_TYPE"
+    with pytest.raises(MpiError, match="negative lower bound"):
+        t.pack(np.zeros(64, dtype=np.uint8), 1)
+
+
+@given(compile_trees, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_property_pack_matches_loop_indices(t: TypeDescriptor, count: int):
+    if t.lower_bound() < 0 or t.size() == 0:
+        return
+    span = count * t.extent() + t.upper_bound() + 16
+    rng = np.random.default_rng(1)
+    src = rng.integers(0, 255, size=span, dtype=np.uint8)
+    idx = _loop_flat_byte_indices(t, count)
+    payload = t.pack(src, count)
+    assert payload == src[idx].tobytes()
+    dst = np.zeros(span, dtype=np.uint8)
+    assert t.unpack(payload, dst, count) == len(payload)
+    ref = np.zeros(span, dtype=np.uint8)
+    ref[idx] = src[idx]
+    assert np.array_equal(dst, ref)
+
+
+@pytest.mark.parametrize("t", [
+    ContiguousType(4, DOUBLE),
+    VectorType(3, 2, 5, DOUBLE),
+    IndexedType([2, 1], [0, 4], INT),
+    StructType([1, 2], [0, 8], [INT, DOUBLE]),
+])
+def test_descriptor_pickles_without_caches(t):
+    before = pickle.dumps(t)
+    buf = np.arange(256, dtype=np.uint8)
+    payload = t.pack(buf, 2)
+    t.unpack(payload, np.zeros(256, dtype=np.uint8), 2)
+    assert t._blocks_cache is not None and t._dense_cache is not None
+    assert pickle.dumps(t) == before
+    back = pickle.loads(before)
+    assert back == t and back.pack(buf, 2) == payload

@@ -5,6 +5,8 @@ architecture: MPICH's session-stable 32-bit constants, Open MPI's
 session-varying 64-bit pointers, ExaMPI's enum + lazy aliased constants.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.impls.exampi import ENUM_PRIMITIVE, PRIMITIVE_ENUM
@@ -13,6 +15,7 @@ from repro.impls.mpich import (
     CATEGORY_DYNAMIC,
     HANDLE_LAYOUT,
     KIND_CODES,
+    TwoLevelHandleSpace,
 )
 from repro.mpi.api import HandleKind
 from repro.util.errors import (
@@ -105,6 +108,27 @@ class TestMpichHandles:
         assert mp(0).constant("MPI_COMM_WORLD") != cr(0).constant(
             "MPI_COMM_WORLD"
         )
+
+    def test_insert_allocates_a_page_only_once(self):
+        # A page's slot list is 65,536 entries (512 KiB); building one per
+        # insert and discarding it would make every MPICH insert cost
+        # O(page size).
+        space = TwoLevelHandleSpace()
+        obj = object()
+        handles = []
+        tracemalloc.start()
+        try:
+            handles.append(space.insert(HandleKind.REQUEST, obj))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                handles.append(space.insert(HandleKind.REQUEST, obj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 64 * 1024, peak - base
+        assert all(space.resolve(HandleKind.REQUEST, h) is obj
+                   for h in handles)
 
 
 class TestOpenMpiHandles:

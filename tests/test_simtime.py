@@ -38,6 +38,24 @@ class TestVirtualClock:
         assert c.now == 5.0
         assert c.account("idle") == 0.0
 
+    def test_idle_independent_of_merge_order(self):
+        # A waitall merges its receives' arrival times in arrival order;
+        # the idle total must not depend on that order, down to the bit.
+        bounds = [40.395836809309124, 76.59520081925255, 134.90237033014256,
+                  148.6809826188731, 229.15600823108653, 254.24537770747605]
+        seen = set()
+        for order in (bounds, bounds[::-1], bounds[1::2] + bounds[::2]):
+            c = VirtualClock()
+            c.advance(0.1)
+            for b in order:
+                c.merge(b)
+            seen.add((c.now, c.account("idle")))
+        assert len(seen) == 1
+        # A separate wait after an advance still adds on top.
+        c.advance(0.5)
+        c.merge(c.now + 0.25)
+        assert c.account("idle") == pytest.approx(254.14537770747605 + 0.25)
+
     def test_state_roundtrip(self):
         c = VirtualClock()
         c.advance(2.0, "a")

@@ -89,6 +89,45 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             self.bf.replace(w, kind=16)
 
+    def test_pack_error_messages(self):
+        with pytest.raises(ValueError) as e:
+            self.bf.pack(category=1, kind=0)
+        assert str(e.value) == "bad fields: missing={'payload'}, extra=set()"
+        with pytest.raises(ValueError) as e:
+            self.bf.pack(category=1, kind=0, payload=0, zap=1)
+        assert str(e.value) == "bad fields: missing=set(), extra={'zap'}"
+        with pytest.raises(ValueError) as e:
+            self.bf.pack(category=1, kind=0, zap=1)
+        assert str(e.value) == (
+            "bad fields: missing={'payload'}, extra={'zap'}"
+        )
+        with pytest.raises(ValueError) as e:
+            self.bf.pack(category=0, kind=16, payload=0)
+        assert str(e.value) == "value 16 does not fit field 'kind' (4 bits)"
+        with pytest.raises(ValueError) as e:
+            self.bf.pack(category=0, kind=0, payload=-1)
+        assert str(e.value) == (
+            "value -1 does not fit field 'payload' (26 bits)"
+        )
+
+    def test_wrong_field_set_reported_before_bad_value(self):
+        # Same field count, one name swapped, and an out-of-range value
+        # ahead of the missing field: the field set is what is wrong.
+        with pytest.raises(ValueError, match="bad fields"):
+            self.bf.pack(category=9, kind=0, zap=0)
+
+    def test_unpack_error_message(self):
+        with pytest.raises(ValueError) as e:
+            self.bf.unpack(1 << 32)
+        assert str(e.value) == "word 0x100000000 exceeds 32 bits"
+        with pytest.raises(ValueError) as e:
+            self.bf.unpack(-1)
+        assert str(e.value) == "word -0x1 exceeds 32 bits"
+
+    def test_unpack_keeps_field_order(self):
+        w = self.bf.pack(payload=3, kind=2, category=1)
+        assert list(self.bf.unpack(w)) == ["category", "kind", "payload"]
+
 
 @given(
     category=st.integers(0, 3),
@@ -108,3 +147,21 @@ def test_property_roundtrip(category, kind, payload):
 def test_property_unpack_pack_identity(word):
     bf = BitField(32, [("a", 7), ("b", 11), ("c", 14)])
     assert bf.pack(**bf.unpack(word)) == word
+
+
+@given(
+    word=st.integers(0, (1 << 32) - 1),
+    name=st.sampled_from(["a", "b", "c"]),
+    value=st.integers(0, (1 << 14) - 1),
+)
+def test_property_extract_replace_match_shift_arithmetic(word, name, value):
+    bf = BitField(32, [("a", 7), ("b", 11), ("c", 14)])
+    shift, width = {"a": (25, 7), "b": (14, 11), "c": (0, 14)}[name]
+    assert bf.extract(word, name) == (word >> shift) & mask(width)
+    if value > mask(width):
+        with pytest.raises(ValueError, match="does not fit"):
+            bf.replace(word, **{name: value})
+        return
+    expect = (word & ~(mask(width) << shift)) | (value << shift)
+    assert bf.replace(word, **{name: value}) == expect
+    assert bf.extract(expect, name) == value
