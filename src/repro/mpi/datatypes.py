@@ -62,11 +62,8 @@ class TypeDescriptor:
     def __getstate__(self) -> dict:
         # A descriptor reached through a DatatypeRecord rides inside the
         # checkpoint image; its caches must not change the image bytes.
-        state = self.__dict__
-        if any(a in state for a in self._CACHE_ATTRS):
-            state = {k: v for k, v in state.items()
-                     if k not in self._CACHE_ATTRS}
-        return state
+        return {k: v for k, v in self.__dict__.items()
+                if k not in self._CACHE_ATTRS}
 
     def compiled_blocks(self) -> np.ndarray:
         """Cached :meth:`blocks` — packing compiles the typemap once."""
