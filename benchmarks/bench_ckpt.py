@@ -51,11 +51,6 @@ def main() -> int:
         f"({b['cold']['bytes_written']:,} bytes, "
         f"{b['cold']['chunks_written']} chunks)"
     )
-    if b.get("cold_pooled"):
-        print(
-            f"cold (pooled) : {b['cold_pooled']['mb_per_s']:.1f} MB/s "
-            f"({b['save_workers']} workers, ~256 KiB chunk runs)"
-        )
     print(
         f"warm save     : {b['warm_identical']['mb_per_s']:.1f} MB/s "
         f"({b['warm_identical']['bytes_written']:,} bytes, "

@@ -166,7 +166,7 @@ def _cmd_bench_smoke(args) -> int:
         return 2
     for c in out["checks"]:
         mark = "ok " if c["ok"] else "FAIL"
-        slow = (f"  ({c['slowdown']:.2f}x slower than baseline)"
+        slow = (f"  ({c['slowdown']:.2f}x below baseline)"
                 if c["slowdown"] is not None else "")
         print(f"[{mark}] {c['metric']}: {c['current']:,.1f} "
               f"(baseline {c['baseline']:,.1f}){slow}")
@@ -182,12 +182,10 @@ def _cmd_bench_smoke(args) -> int:
 def _print_ckpt_table(b) -> None:
     print(f"checkpoint pipeline (format 5): {b['nranks']} ranks x "
           f"{b['payload_mb']:.1f} MB, compress level "
-          f"{b['compress_level']}, {b['save_workers']} save workers")
+          f"{b['compress_level']}")
     rows = [("cold save", "cold"),
             ("warm save (identical)", "warm_identical"),
             ("warm save (2% mutated)", "warm_mutated")]
-    if b.get("cold_pooled"):
-        rows.append(("cold save (pooled)", "cold_pooled"))
     for label, key in rows:
         s = b[key]
         print(f"  {label:24} {s['mb_per_s']:8.1f} MB/s  "

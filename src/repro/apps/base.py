@@ -360,13 +360,6 @@ class BlockApp(MpiApplication):
         (grid dims, halo neighbor pairs, clamped halo item counts).
         Called on each freshly repartitioned app; default is a no-op."""
 
-    def progress_summary(self) -> Dict:
-        return {
-            "app": self.name,
-            "blocks_done": self.blocks_done,
-            "checksum": float(self.checksum),
-        }
-
     # -- shared numerics -----------------------------------------------------
     @staticmethod
     def _mix(state: np.ndarray) -> float:

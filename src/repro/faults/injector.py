@@ -4,7 +4,7 @@ The :class:`FaultInjector` is the live counterpart of a
 :class:`repro.faults.plan.FaultPlan`: it is consulted at well-defined
 hook points in the wrappers (`_enter`), the resumable-loop runner, the
 fabric (`post_send`), the coordinator (round start), and the checkpoint
-writer (`save_image`).  Every hook is a no-op unless the plan contains a
+writers (`save_chunked_blob`, `save_image`).  Every hook is a no-op unless the plan contains a
 spec for that site — and jobs with ``faults=None`` never construct an
 injector at all, so the hot path carries only a single ``is not None``
 test.
@@ -109,7 +109,7 @@ class FaultInjector:
                     )
 
     # ------------------------------------------------------------------
-    # save_image hooks
+    # image-writer hooks
     # ------------------------------------------------------------------
     def disk_full_hit(self, rank: int, generation: int) -> bool:
         with self._lock:

@@ -161,7 +161,7 @@ class FaultPlan:
         )
 
     def disk_full(self, rank: int, generation: int) -> "FaultPlan":
-        """Fail rank ``rank``'s ``save_image`` of ``generation`` with a
+        """Fail rank ``rank``'s image save of ``generation`` with a
         disk-full error (partial temp file, final path untouched)."""
         return self.add(FaultSpec(DISK_FULL, rank=rank, generation=generation))
 

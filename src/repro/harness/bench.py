@@ -17,11 +17,11 @@ Two measurements back the fast-lane work (see docs/PROTOCOLS.md §8):
   ratio does not depend on the machine's speed.
 
 ``python -m repro bench-smoke`` runs a tiny version of the
-microbenchmark and fails when throughput regresses more than
-``max_regression``× against the checked-in baseline
-(benchmarks/results/BENCH_hotpath.json), making hot-path regressions a
-CI failure rather than a surprise.  It also fails when an MPICH insert
-costs more than ``MAX_INSERT_RATIO``× an Open MPI insert.
+microbenchmark and fails when the fast lane's same-run speedup over the
+legacy design falls more than ``max_regression``× below the checked-in
+baseline's (benchmarks/results/BENCH_hotpath.json), making hot-path
+regressions a CI failure rather than a surprise.  It also fails when an
+MPICH insert costs more than ``MAX_INSERT_RATIO``× an Open MPI insert.
 """
 
 from __future__ import annotations
@@ -263,17 +263,10 @@ def _ckpt_bench_image(rank: int, nranks: int, payload, generation: int):
     )
 
 
-def _agg_savestats(stats_list: List[Dict]) -> Dict:
-    keys = ("chunks_total", "chunks_written", "chunks_reused",
-            "bytes_written", "payload_bytes")
-    return {k: sum(s[k] for s in stats_list) for k in keys}
-
-
 def bench_checkpoint(payload_mb: float = 4.0,
                      nranks: int = 4,
                      mutate_fraction: float = 0.02,
-                     compress_level: int = 3,
-                     save_workers: int = 4) -> Dict:
+                     compress_level: int = 3) -> Dict:
     """Format-5 checkpoint pipeline throughput + dedup factors.
 
     Measures saves of ``nranks`` images, each carrying a
@@ -289,9 +282,6 @@ def bench_checkpoint(payload_mb: float = 4.0,
       ``mutate_fraction`` of each rank's payload: content-defined
       boundaries resync after the edit, so bytes written scale with
       the change, not the payload.
-    * **cold_pooled** — the cold save re-run (fresh store dir) with a
-      ``save_workers``-wide TaskPool fanning ~256 KiB chunk runs: the
-      stage-parallel pipeline column.
     * **async_save** — generation 5 saved the asynchronous way:
       snapshot (pickle) timed separately from the background drain,
       with a compute loop spinning in the "rank" thread while the
@@ -310,7 +300,6 @@ def bench_checkpoint(payload_mb: float = 4.0,
 
     import numpy as np
 
-    from repro.harness.parallel import TaskPool
     from repro.mana import checkpoint as ckpt
     from repro.mana.chunkstore import ChunkStore
 
@@ -323,8 +312,6 @@ def bench_checkpoint(payload_mb: float = 4.0,
     logical_total = per_rank * nranks
 
     tmp = tempfile.mkdtemp(prefix="repro-ckpt-bench-")
-    pool = TaskPool(save_workers, name="bench-save") if save_workers > 1 \
-        else None
     try:
         store = ChunkStore(tmp, compress_level=compress_level)
 
@@ -355,17 +342,14 @@ def bench_checkpoint(payload_mb: float = 4.0,
                 raise errors[0]
             return results, secs
 
-        def save_generation(gen: int, use_pool=None, base=tmp,
-                            in_store=None):
+        def save_generation(gen: int):
             def _save_rank(r):
-                path = ckpt.rank_image_path(base, gen, r)
+                path = ckpt.rank_image_path(tmp, gen, r)
                 img = _ckpt_bench_image(r, nranks, payloads[r], gen)
-                return ckpt.save_chunked_image(
-                    path, img, in_store or store, pool=use_pool
-                )
+                return ckpt.save_chunked_image(path, img, store)
 
             stats, secs = run_ranked(_save_rank)
-            agg = _agg_savestats(stats)
+            agg = ckpt.round_dedup(stats)
             agg["seconds"] = secs
             agg["mb_per_s"] = (logical_total / 1e6) / secs if secs > 0 \
                 else float("inf")
@@ -378,18 +362,6 @@ def bench_checkpoint(payload_mb: float = 4.0,
             start = (r * 7919) % max(1, per_rank - span)
             payloads[r][start:start + span] ^= 0xA5
         warm_mutated = save_generation(3)
-
-        # Stage-parallel column: the same cold save against a fresh
-        # store, chunk runs fanned across the TaskPool.
-        cold_pooled = None
-        if pool is not None:
-            pooled_dir = os.path.join(tmp, "pooled")
-            pooled_store = ChunkStore(
-                pooled_dir, compress_level=compress_level
-            )
-            cold_pooled = save_generation(
-                1, use_pool=pool, base=pooled_dir, in_store=pooled_store
-            )
 
         # Async column: snapshot (what the ranks block on) timed apart
         # from the drain (what rides behind compute).  The compute loop
@@ -409,7 +381,7 @@ def bench_checkpoint(payload_mb: float = 4.0,
         def _drain():
             t1 = time.perf_counter()
             for path, img, blob in staged:
-                ckpt.save_chunked_blob(path, img, blob, store, pool=pool)
+                ckpt.save_chunked_blob(path, img, blob, store)
             drain_result["seconds"] = time.perf_counter() - t1
 
         th = threading.Thread(target=_drain, name="bench-drain")
@@ -463,11 +435,9 @@ def bench_checkpoint(payload_mb: float = 4.0,
             "nranks": nranks,
             "mutate_fraction": mutate_fraction,
             "compress_level": compress_level,
-            "save_workers": save_workers,
             "cold": cold,
             "warm_identical": warm_identical,
             "warm_mutated": warm_mutated,
-            "cold_pooled": cold_pooled,
             "async_save": async_save,
             "restore": {
                 "seconds": restore_s,
@@ -490,8 +460,6 @@ def bench_checkpoint(payload_mb: float = 4.0,
             "mutated_dedup_factor": factor(cold, warm_mutated),
         }
     finally:
-        if pool is not None:
-            pool.shutdown()
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -592,43 +560,29 @@ def smoke(baseline_path: Optional[str] = None,
           n: int = 20_000) -> Dict:
     """Tiny vid bench vs the checked-in baseline, plus the insert ratio.
 
-    Compares lookups/second (scale-invariant in ``n``); ``ok`` is False
-    when the fast lane is more than ``max_regression`` times slower than
-    the baseline recorded.  Machine variance is far below 5x; a failure
-    means the fast lane is gone (e.g. an invalidation bug made every
-    hit a miss) or the hot path grew accidental work.  ``ok`` is also
-    False when an MPICH handle insert costs more than
-    ``MAX_INSERT_RATIO`` Open MPI inserts.
+    Both checks are ratios of two timings taken in the same run, so
+    they do not depend on the machine's speed.  ``ok`` is False when
+    the fast lane's speedup over the legacy design has fallen more than
+    ``max_regression``× below the baseline's (e.g. an invalidation bug
+    made every hit a miss, or the hot path grew accidental work), or
+    when an MPICH handle insert costs more than ``MAX_INSERT_RATIO``
+    Open MPI inserts.
     """
     baseline_path = baseline_path or default_baseline_path()
     with open(baseline_path) as f:
         baseline = json.load(f)
     now = bench_vid_lookup(n=n, repeats=2)
-    checks = []
-    ok = True
-    for key in ("fast_lookups_per_sec", "slow_lookups_per_sec"):
-        base = baseline["vid"][key]
-        cur = now[key]
-        ratio = base / cur if cur > 0 else float("inf")
-        good = ratio <= max_regression
-        ok = ok and good
-        checks.append({
-            "metric": key,
-            "baseline": base,
-            "current": cur,
-            "slowdown": ratio,
-            "ok": good,
-        })
-    # The fast lane must still actually be faster than the legacy design.
-    faster = now["speedup_vs_legacy"] > 1.0
-    ok = ok and faster
-    checks.append({
+    base = baseline["vid"]["speedup_vs_legacy"]
+    cur = now["speedup_vs_legacy"]
+    slowdown = base / cur if cur > 0 else float("inf")
+    ok = slowdown <= max_regression
+    checks = [{
         "metric": "speedup_vs_legacy",
-        "baseline": baseline["vid"]["speedup_vs_legacy"],
-        "current": now["speedup_vs_legacy"],
-        "slowdown": None,
-        "ok": faster,
-    })
+        "baseline": base,
+        "current": cur,
+        "slowdown": slowdown,
+        "ok": ok,
+    }]
     # Same-run ratio against an absolute bound (listed as the baseline).
     ratio = bench_handle_insert(n=500)["mpich_over_openmpi"]
     cheap = ratio <= MAX_INSERT_RATIO

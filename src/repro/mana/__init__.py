@@ -17,8 +17,8 @@ Subpackage map (one module per paper concept):
   into the lower half and back on the way out;
 * :mod:`repro.mana.drain` — the checkpoint-time quiesce and
   point-to-point drain protocol (send-count alltoall + Iprobe/Recv);
-* :mod:`repro.mana.checkpoint` — checkpoint images (save/load, format 4
-  monolithic and format 5 incremental);
+* :mod:`repro.mana.checkpoint` — checkpoint images (format 5
+  incremental saves; format-4 monolithic images still load);
 * :mod:`repro.mana.chunkstore` — the per-job content-addressed store of
   compressed content-defined chunks backing format-5 images;
 * :mod:`repro.mana.replay` — restart-time reconstruction of MPI objects

@@ -15,8 +15,8 @@ records are simply part of the saved upper half.
 
 Two on-disk formats coexist (PROTOCOLS.md §10):
 
-**Format 4** (read-side back-compat, and still the write path when no
-chunk store is configured)::
+**Format 4** (read-side back-compat; no job writes it, and
+:func:`save_image` is kept as the reference writer)::
 
     MAGIC (8 bytes) | header length (4 bytes, big-endian) | JSON header
     | pickle payload
@@ -265,9 +265,10 @@ def save_image(path: str, image: CheckpointImage, injector=None,
                vtime: float = 0.0) -> int:
     """Write one rank's image in **format 4**; returns its size in bytes.
 
-    Kept as the storeless write path (and the write-side compatibility
-    reference): one monolithic checksummed pickle per file.  Jobs with a
-    chunk store use :func:`save_chunked_image` instead.
+    The write-side compatibility reference: one monolithic checksummed
+    pickle per file.  Jobs always write format 5
+    (:func:`save_chunked_image`); this writer backs the format-4
+    fixture tests and the plain-pickle baseline of ``ckpt-smoke``.
 
     Crash-safe: the bytes land in ``<path>.tmp`` and are atomically
     renamed, so the final path either holds a complete verified image or
@@ -304,37 +305,17 @@ def save_chunked_image(
     store: ChunkStore,
     injector=None,
     vtime: float = 0.0,
-    pool=None,
 ) -> Dict:
     """Write one rank's image in **format 5**: chunks into ``store``,
     a small header-only image file at ``path``.
 
     Pickles the upper half and delegates to :func:`save_chunked_blob`;
-    see there for the statistics dict and the pool semantics.
+    see there for the statistics dict.
     """
     blob = _pickle_upper_half(image)
     return save_chunked_blob(
-        path, image, blob, store, injector=injector, vtime=vtime, pool=pool
+        path, image, blob, store, injector=injector, vtime=vtime
     )
-
-
-#: Pooled chunk runs target this many uncompressed bytes each: small
-#: enough that a 4 MB rank splits into ~16 interleavable work items,
-#: large enough that submit overhead stays under ~1% of the zlib cost.
-_RUN_BYTES = 256 * 1024
-
-
-def _store_chunk_run(store: ChunkStore, view, run) -> Tuple[int, List[str]]:
-    """Compress+store one run of (digest, start, end) items serially;
-    returns (bytes_written, digests new to the store)."""
-    written = 0
-    new_digests: List[str] = []
-    for d, s, e in run:
-        nbytes, reused = store.put_known(d, view[s:e])
-        if not reused:
-            written += nbytes
-            new_digests.append(d)
-    return written, new_digests
 
 
 def save_chunked_blob(
@@ -344,7 +325,6 @@ def save_chunked_blob(
     store: ChunkStore,
     injector=None,
     vtime: float = 0.0,
-    pool=None,
     pin: bool = False,
 ) -> Dict:
     """Write one rank's **format-5** image from an already-pickled
@@ -365,13 +345,10 @@ def save_chunked_blob(
     the reference list.  Faults fire *before* any durable write, so an
     injected crash or disk-full leaves no fresh chunks behind.
 
-    With a ``pool`` (:class:`repro.harness.parallel.TaskPool`), the
-    unique chunks are fanned out in ~256 KiB runs so chunk writes from
-    *all* ranks interleave across the pool's workers — one large rank no
-    longer serializes a save round.  With ``pin``, the chunk digests are
-    refcount-pinned in the store until the image header reaches its
-    final path, keeping a concurrent GC from deleting chunks whose
-    referencing header is not yet visible on disk.
+    With ``pin``, the chunk digests are refcount-pinned in the store
+    until the image header reaches its final path, keeping a concurrent
+    GC from deleting chunks whose referencing header is not yet visible
+    on disk.
     """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     base = _base_dir_of(path)
@@ -402,26 +379,14 @@ def save_chunked_blob(
         todo.append((d, s, e))
     if pin:
         store.pin(seen)
+    written = 0
+    new_digests: List[str] = []
     try:
-        runs: List[List[Tuple[str, int, int]]] = []
-        run: List[Tuple[str, int, int]] = []
-        size = 0
-        for item in todo:
-            run.append(item)
-            size += item[2] - item[1]
-            if size >= _RUN_BYTES:
-                runs.append(run)
-                run, size = [], 0
-        if run:
-            runs.append(run)
-        if pool is not None and len(runs) > 1:
-            results = pool.gather(
-                [(_store_chunk_run, store, view, r) for r in runs]
-            )
-        else:
-            results = [_store_chunk_run(store, view, r) for r in runs]
-        written = sum(w for w, _ in results)
-        new_digests = [d for _, nd in results for d in nd]
+        for d, s, e in todo:
+            nbytes, reused = store.put_known(d, view[s:e])
+            if not reused:
+                written += nbytes
+                new_digests.append(d)
         tmp = storeio.tmp_name(path)
         storeio.write_file(tmp, data, site="image.tmp")
         storeio.rename(tmp, path, site="image")
@@ -444,6 +409,34 @@ def save_chunked_blob(
         "chunks_reused": reused_count,
         "bytes_written": len(data) + written,
     }
+
+
+def round_dedup(stats: Iterable[Dict]) -> Dict:
+    """One round's dedup summary — what its manifest and ticket record —
+    from the per-rank statistics :func:`save_chunked_blob` returned."""
+    stats = list(stats)
+    payload = sum(s["payload_bytes"] for s in stats)
+    written = sum(s["bytes_written"] for s in stats)
+    frac = written / payload if payload else 1.0
+    return {
+        "format": 5,
+        "chunks_total": sum(s["chunks_total"] for s in stats),
+        "chunks_written": sum(s["chunks_written"] for s in stats),
+        "chunks_reused": sum(s["chunks_reused"] for s in stats),
+        "bytes_written": written,
+        "payload_bytes": payload,
+        "written_fraction": round(frac, 6),
+    }
+
+
+def written_logical(logical_mean: float, dedup: Dict) -> int:
+    """The logical (simulated) bytes per rank a round wrote: the mean
+    logical size scaled by the fraction of real pickle bytes it wrote,
+    so proxy apps with ``simulated_state_bytes`` see proportional
+    savings in the cost model."""
+    payload = dedup["payload_bytes"]
+    frac = dedup["bytes_written"] / payload if payload else 1.0
+    return int(logical_mean * min(1.0, frac))
 
 
 # ----------------------------------------------------------------------

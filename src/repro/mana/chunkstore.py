@@ -34,7 +34,7 @@ import sys
 import threading
 import warnings
 import zlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.mana import storeio
 from repro.util.errors import IntegrityError
@@ -487,8 +487,7 @@ _STORES: Dict[str, ChunkStore] = {}
 _STORES_LOCK = threading.Lock()
 
 
-def store_for(base_dir: str,
-              compress_level: Optional[int] = None) -> ChunkStore:
+def store_for(base_dir: str) -> ChunkStore:
     """The (process-wide) store for a checkpoint base directory.
 
     Sharing one instance per directory lets the verification memo span
@@ -501,8 +500,6 @@ def store_for(base_dir: str,
         if created:
             store = ChunkStore(base_dir)
             _STORES[key] = store
-        if compress_level is not None:
-            store.compress_level = compress_level
     if created:
         # Store open: clear temp files stranded by a dead writer (a
         # crash between write-tmp and publish); live writers' temps are

@@ -50,10 +50,5 @@ def constant_kind(name: str) -> Optional[str]:
     return None
 
 
-def is_lazy_impl(impl_name: str) -> bool:
-    """Implementations whose constants materialize on first touch."""
-    return impl_name == "exampi"
-
-
 def all_constant_names() -> tuple:
     return C.ALL_CONSTANT_NAMES

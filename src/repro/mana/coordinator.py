@@ -43,11 +43,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.simtime.cost import (
-    CheckpointCostModel,
-    FilesystemProfile,
-    checkpoint_time,
-)
+from repro.mana.checkpoint import round_dedup, written_logical
+from repro.mana.chunkstore import store_for
+from repro.simtime.cost import CheckpointCostModel, FilesystemProfile
 from repro.util.errors import CheckpointError, CheckpointRoundAborted
 
 
@@ -182,9 +180,7 @@ class CheckpointCoordinator:
         loop_lag_window: int = 4,
         phase_timeout: float = 300.0,
         round_retries: int = 2,
-        chunk_store=None,
         ckpt_cost: Optional[CheckpointCostModel] = None,
-        save_workers: int = 0,
         keep_generations: Optional[int] = None,
         async_save: bool = False,
     ):
@@ -196,24 +192,20 @@ class CheckpointCoordinator:
         self.round_retries = round_retries
         self.generation = 0
 
-        # Format-5 incremental pipeline (all None/0 -> pure format 4).
-        # chunk_store: repro.mana.chunkstore.ChunkStore for this job's
-        # ckpt_dir; ckpt_cost charges virtual time from byte counts;
-        # save_workers > 1 fans per-rank encodes out to a TaskPool;
-        # keep_generations prunes + GCs after each completed round.
-        self.chunk_store = chunk_store
+        # Format-5 incremental pipeline: chunk_store is the job's
+        # content-addressed store (shared per ckpt_dir); ckpt_cost
+        # charges virtual time from byte counts; keep_generations
+        # prunes + GCs after each completed round.
+        self.chunk_store = store_for(ckpt_dir)
         self.ckpt_cost = ckpt_cost or CheckpointCostModel()
-        self.save_workers = save_workers
         self.keep_generations = keep_generations
-        self._save_pool = None
-        self._save_pool_lock = threading.Lock()
         #: Dedup summary of the most recent completed round (or None).
         self.last_dedup: Optional[Dict] = None
 
-        # Asynchronous (snapshot + background drain) saves, format 5
-        # only.  Ranks stage their pickled snapshots at the save barrier
-        # and resume; a single background drainer encodes and writes
-        # them (PROTOCOLS.md §11).
+        # Asynchronous (snapshot + background drain) saves.  Ranks stage
+        # their pickled snapshots at the save barrier and resume; a
+        # single background drainer encodes and writes them
+        # (PROTOCOLS.md §11).
         self.async_save = async_save
         self._drainer = None
         self._drainer_lock = threading.Lock()
@@ -688,54 +680,12 @@ class CheckpointCoordinator:
         self._check_attempt(attempt)
 
     # ------------------------------------------------------------------
-    # parallel save fan-out
-    # ------------------------------------------------------------------
-    def save_pool(self):
-        """The shared chunk-write :class:`TaskPool` (``save_workers >
-        1``), lazily created and reused across rounds; None when
-        pooling is off."""
-        if self.save_workers <= 1:
-            return None
-        pool = self._save_pool
-        if pool is None:
-            with self._save_pool_lock:
-                pool = self._save_pool
-                if pool is None:
-                    from repro.harness.parallel import TaskPool
-
-                    pool = TaskPool(self.save_workers, name="ckpt-save")
-                    self._save_pool = pool
-        return pool
-
-    def run_save(self, fn: Callable[[object], object]):
-        """Run one rank's encode+write: ``fn`` receives the shared save
-        pool (or None) and is executed in the calling rank thread.
-
-        The writer fans its ~256 KiB chunk runs into the pool, so work
-        items are *chunk runs*, not whole ranks — chunks from every
-        rank interleave across ``save_workers`` and one large rank no
-        longer serializes the round (the old design submitted each
-        rank's entire encode as a single pool item).  Exceptions
-        surface in the calling rank thread — injected faults keep their
-        per-rank crash semantics — and virtual time is charged
-        analytically by :meth:`_on_saved`, so pooling changes
-        wall-clock only, never the simulation."""
-        return fn(self.save_pool())
-
-    def _shutdown_save_pool(self) -> None:
-        with self._save_pool_lock:
-            pool, self._save_pool = self._save_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    # ------------------------------------------------------------------
     # asynchronous saves (snapshot + background drain)
     # ------------------------------------------------------------------
     def async_round(self) -> bool:
         """True when the current round snapshots + drains instead of
-        writing synchronously (needs a chunk store: the drainer writes
-        format 5 only)."""
-        return self.async_save and self.chunk_store is not None
+        writing synchronously."""
+        return self.async_save
 
     def stage_async_blob(
         self, rank: int, path: str, image, blob: bytes,
@@ -762,16 +712,6 @@ class CheckpointCoordinator:
                     d = AsyncSaveDrainer(self)
                     self._drainer = d
         return d
-
-    def drain_async(self, timeout: Optional[float] = None):
-        """Block (wall-clock) until any in-flight background drain has
-        finished; returns the drainer's last-drain summary or None.
-        Virtual time is unaffected — only the *next* checkpoint charges
-        drain overrun."""
-        d = self._drainer
-        if d is None:
-            return None
-        return d.wait_idle(timeout)
 
     def _shutdown_drainer(self) -> None:
         with self._drainer_lock:
@@ -828,71 +768,56 @@ class CheckpointCoordinator:
         self._ckpt_start_time = max(self._rank_clocks.values())
 
     def _on_saved(self) -> None:
-        sizes = list(self._rank_bytes.values())
+        """Gate action of the save barrier: charge the round's virtual
+        time and fill in its ticket result.
+
+        A synchronous round charges the incremental pipeline's analytic
+        cost over the bytes its ranks wrote; an async round charges
+        snapshot + drain overrun and hands its staged blobs to the
+        background drainer (:meth:`_submit_drain`).
+        """
+        sizes = [self._rank_bytes[r] for r in sorted(self._rank_bytes)]
         mean = sum(sizes) / len(sizes) if sizes else 0
         if self._async_blobs:
-            self._on_saved_async(sizes, mean)
+            self._submit_drain(sizes, mean)
             return
-        stats = dict(self._rank_savestats)
-        dedup = None
-        if stats and len(stats) == len(sizes):
-            # Format-5 round: charge the incremental pipeline's analytic
-            # cost.  The written fraction measured on the real pickle
-            # bytes scales the *logical* (simulated) payload, so proxy
-            # apps with simulated_state_bytes see proportional savings.
-            payload = sum(s["payload_bytes"] for s in stats.values())
-            written = sum(s["bytes_written"] for s in stats.values())
-            frac = written / payload if payload else 1.0
-            written_logical = int(mean * min(1.0, frac))
-            self._ckpt_duration = self.ckpt_cost.save_time(
-                self.fs_profile, self.nranks, int(mean), written_logical
-            )
-            dedup = {
-                "format": 5,
-                "chunks_total": sum(
-                    s["chunks_total"] for s in stats.values()
-                ),
-                "chunks_written": sum(
-                    s["chunks_written"] for s in stats.values()
-                ),
-                "chunks_reused": sum(
-                    s["chunks_reused"] for s in stats.values()
-                ),
-                "bytes_written": written,
-                "payload_bytes": payload,
-                "written_fraction": round(frac, 6),
-            }
-        else:
-            # Format-4 round: the monolithic Table 3 cost.
-            self._ckpt_duration = checkpoint_time(
-                self.fs_profile, self.nranks, int(mean)
-            )
+        dedup = round_dedup(self._rank_savestats.values())
         self.last_dedup = dedup
-        t = self._intent
-        if t is not None:
-            t.result.update(
-                {
-                    "generation": t.generation,
-                    "kind": t.kind,
-                    "mode": t.mode,
-                    "bytes_per_rank": sizes,
-                    "mean_bytes_per_rank": mean,
-                    "ckpt_time": self._ckpt_duration,
-                    "mb_per_s_per_rank": (
-                        mean / self._ckpt_duration / 1e6
-                        if self._ckpt_duration > 0
-                        else float("inf")
-                    ),
-                    "loop_target": self._loop_target,
-                }
-            )
-            if dedup is not None:
-                t.result["dedup"] = dedup
+        self._ckpt_duration = self.ckpt_cost.save_time(
+            self.fs_profile, self.nranks, int(mean),
+            written_logical(mean, dedup),
+        )
+        self._record_result(sizes, mean, {"dedup": dedup})
 
-    def _on_saved_async(self, sizes: List[int], mean: float) -> None:
-        """Gate action of the save barrier in an **async** round: charge
-        only snapshot + drain-overrun to virtual time, hand the staged
-        blobs to the background drainer, and release the ranks.
+    def _record_result(self, sizes: List[int], mean: float,
+                       extra: Dict) -> None:
+        """Write the result keys every round's ticket carries, then the
+        round's own ``extra`` keys."""
+        t = self._intent
+        if t is None:
+            return
+        t.result.update(
+            {
+                "generation": t.generation,
+                "kind": t.kind,
+                "mode": t.mode,
+                "bytes_per_rank": sizes,
+                "mean_bytes_per_rank": mean,
+                "ckpt_time": self._ckpt_duration,
+                "mb_per_s_per_rank": (
+                    mean / self._ckpt_duration / 1e6
+                    if self._ckpt_duration > 0
+                    else float("inf")
+                ),
+                "loop_target": self._loop_target,
+            }
+        )
+        t.result.update(extra)
+
+    def _submit_drain(self, sizes: List[int], mean: float) -> None:
+        """The async half of :meth:`_on_saved`: charge only snapshot +
+        drain-overrun to virtual time, hand the staged blobs to the
+        background drainer, and release the ranks.
 
         Back-pressure first: at most one drain is ever in flight, so
         the last-arriving rank blocks (wall-clock only) until the
@@ -904,6 +829,7 @@ class CheckpointCoordinator:
         how fast the drainer actually ran.
         """
         t = self._intent
+        generation = t.generation if t is not None else self.generation
         drainer = self._ensure_drainer()
         prev = drainer.wait_idle()
         start = self._ckpt_start_time
@@ -915,13 +841,9 @@ class CheckpointCoordinator:
             and prev.get("generation") == pend["generation"]
             and prev.get("dedup") is not None
         ):
-            d = prev["dedup"]
-            payload = d["payload_bytes"]
-            frac = d["bytes_written"] / payload if payload else 1.0
-            written_logical = int(pend["logical_mean"] * min(1.0, frac))
             drain_t = self.ckpt_cost.drain_time(
-                self.fs_profile, self.nranks,
-                int(pend["logical_mean"]), written_logical,
+                self.fs_profile, self.nranks, int(pend["logical_mean"]),
+                written_logical(pend["logical_mean"], prev["dedup"]),
             )
             overrun = max(0.0, pend["start_vtime"] + drain_t - start)
         snap_t = self.ckpt_cost.snapshot_time(
@@ -929,7 +851,7 @@ class CheckpointCoordinator:
         )
         self._ckpt_duration = overrun + snap_t
         self._drain_pending = {
-            "generation": t.generation if t is not None else self.generation,
+            "generation": generation,
             "start_vtime": start + self._ckpt_duration,
             "logical_mean": mean,
         }
@@ -938,33 +860,18 @@ class CheckpointCoordinator:
         manifest = self._async_manifest
         self._async_manifest = None
         if manifest is not None:
-            manifest.setdefault("loop_target", self._loop_target)
+            manifest["loop_target"] = self._loop_target
         blobs = dict(self._async_blobs)
         self._async_blobs = {}
-        if t is not None:
-            t.result.update(
-                {
-                    "generation": t.generation,
-                    "kind": t.kind,
-                    "mode": t.mode,
-                    "bytes_per_rank": sizes,
-                    "mean_bytes_per_rank": mean,
-                    "ckpt_time": self._ckpt_duration,
-                    "mb_per_s_per_rank": (
-                        mean / self._ckpt_duration / 1e6
-                        if self._ckpt_duration > 0
-                        else float("inf")
-                    ),
-                    "loop_target": self._loop_target,
-                    "async": True,
-                    "snapshot_time": snap_t,
-                    "drain_overrun": overrun,
-                }
-            )
+        self._record_result(sizes, mean, {
+            "async": True,
+            "snapshot_time": snap_t,
+            "drain_overrun": overrun,
+        })
         from repro.mana.asyncsave import DrainJob
 
         drainer.submit(DrainJob(
-            generation=t.generation if t is not None else self.generation,
+            generation=generation,
             ticket=t,
             ranks=blobs,
             manifest=manifest,
@@ -1063,9 +970,8 @@ class CheckpointCoordinator:
                     )
                 t._done.set()
         # Finish any in-flight background drain (its generation must be
-        # durable before the job is declared over), then stop the pools.
+        # durable before the job is declared over).
         self._shutdown_drainer()
-        self._shutdown_save_pool()
 
     # ------------------------------------------------------------------
     # failure handling
@@ -1097,7 +1003,6 @@ class CheckpointCoordinator:
         ev = self._async_resume_event
         if ev is not None:
             ev.set()
-        self._shutdown_save_pool()
 
     def _raise_if_aborted(self) -> None:
         if self._aborted is not None:

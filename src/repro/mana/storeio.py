@@ -61,19 +61,11 @@ def set_durability(mode: str) -> None:
     _DURABILITY = mode
 
 
-def get_durability() -> str:
-    return _DURABILITY
-
-
 def set_injector(injector) -> None:
     """Install (or with ``None`` remove) the crash-point injector
     consulted by every shimmed operation, process-wide."""
     global _INJECTOR
     _INJECTOR = injector
-
-
-def get_injector():
-    return _INJECTOR
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ as a critical section.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1549,19 +1549,12 @@ class ManaRank:
             # once every image is durable (and prunes afterwards) — a
             # manifest written here would mark a generation restorable
             # while its images are still draining.
-            extra = {"vid_design": self.vids.design_name}
-            if coord.elastic_provenance is not None:
-                extra["elastic"] = dict(coord.elastic_provenance)
             ckpt.write_manifest(
                 self.ckpt_dir,
                 ticket.generation,
-                nranks=self.fabric.nranks,
-                impl=self.impl_name,
-                kind=ticket.kind,
-                cold_restartable=(ticket.kind == CheckpointKind.LOOP),
                 loop_target=coord.loop_target(),
-                extra=extra,
                 dedup=coord.last_dedup,
+                **self._manifest_fields(ticket),
             )
             if coord.keep_generations:
                 ckpt.prune_generations(self.ckpt_dir, coord.keep_generations)
@@ -1583,15 +1576,33 @@ class ManaRank:
         if ticket.mode == CheckpointMode.EXIT:
             raise JobPreempted(ticket.generation)
 
+    def _manifest_fields(self, ticket, async_: bool = False) -> Dict:
+        """The manifest fields of ``ticket``'s generation, shared by the
+        manifest rank 0 writes after a sync round and the one an async
+        round stages for the drainer (which marks ``extra["async"]``)."""
+        extra = {"vid_design": self.vids.design_name}
+        if async_:
+            extra["async"] = True
+        provenance = self.coordinator.elastic_provenance
+        if provenance is not None:
+            extra["elastic"] = dict(provenance)
+        return {
+            "nranks": self.fabric.nranks,
+            "impl": self.impl_name,
+            "kind": ticket.kind,
+            "cold_restartable": ticket.kind == CheckpointKind.LOOP,
+            "extra": extra,
+        }
+
     def _write_image(self, ticket):
         """Serialize and persist this rank's image; returns
         ``(logical_bytes, savestats_or_None)``.
 
-        With a chunk store configured the write goes through the format-5
-        incremental path (chunked, deduped, compressed) on the
-        coordinator's save worker pool; otherwise the monolithic format-4
-        path.  ``logical_bytes`` is always the logical upper-half size —
-        the quantity Table 3's filesystem model is calibrated against —
+        A sync round writes format 5 (chunked, deduped, compressed) into
+        the coordinator's chunk store from this rank thread; an async
+        round only stages the pickle for the background drainer.
+        ``logical_bytes`` is always the logical upper-half size — the
+        quantity Table 3's filesystem model is calibrated against —
         never the post-dedup physical bytes.
         """
         loops = dict(self._ctx._loops) if self._ctx is not None else {}
@@ -1621,34 +1632,15 @@ class ManaRank:
             blob = ckpt._pickle_upper_half(image)
             manifest = None
             if self.rank == 0:
-                extra = {
-                    "vid_design": self.vids.design_name,
-                    "async": True,
-                }
-                if coord.elastic_provenance is not None:
-                    extra["elastic"] = dict(coord.elastic_provenance)
-                manifest = {
-                    "nranks": self.fabric.nranks,
-                    "impl": self.impl_name,
-                    "kind": ticket.kind,
-                    "cold_restartable": ticket.kind == CheckpointKind.LOOP,
-                    "extra": extra,
-                    "keep_generations": coord.keep_generations,
-                }
+                manifest = self._manifest_fields(ticket, async_=True)
             coord.stage_async_blob(self.rank, path, image, blob, manifest)
             nbytes = len(blob)
-        elif coord.chunk_store is not None:
-            savestats = coord.run_save(
-                lambda pool: ckpt.save_chunked_image(
-                    path, image, coord.chunk_store,
-                    injector=self.injector, vtime=self.clock.now,
-                    pool=pool,
-                )
+        else:
+            savestats = ckpt.save_chunked_image(
+                path, image, coord.chunk_store,
+                injector=self.injector, vtime=self.clock.now,
             )
             nbytes = savestats["payload_bytes"] + savestats["file_bytes"]
-        else:
-            nbytes = ckpt.save_image(path, image, injector=self.injector,
-                                     vtime=self.clock.now)
         # Proxy applications hold a scaled-down working set; they declare
         # the full-size resident bytes the real application would have
         # checkpointed (Table 3 image sizes).  Accounting — not storage.

@@ -81,18 +81,12 @@ class JobConfig:
     # Coordinator hardening knobs (None/default = coordinator defaults).
     ckpt_phase_timeout: Optional[float] = None
     ckpt_round_retries: int = 2
-    # Checkpoint image format: 5 = incremental chunked/deduped/compressed
-    # (the default pipeline); 4 = monolithic pickle (the legacy writer;
-    # old images stay loadable regardless).
-    ckpt_format: int = 5
-    ckpt_compress_level: int = 3     # zlib level for format-5 chunks
-    ckpt_save_workers: int = 0       # >1 pools chunk-run encodes/writes
     ckpt_keep_generations: Optional[int] = None  # prune + GC after saves
-    # Asynchronous saves (format 5 only): ranks snapshot their pickled
-    # state at the barrier and resume; a background drainer encodes and
-    # writes the generation while the application computes
-    # (PROTOCOLS.md §11).  Virtual time is charged snapshot + any
-    # drain-overrun instead of the full save cost.
+    # Asynchronous saves: ranks snapshot their pickled state at the
+    # barrier and resume; a background drainer encodes and writes the
+    # generation while the application computes (PROTOCOLS.md §11).
+    # Virtual time is charged snapshot + any drain-overrun instead of
+    # the full save cost.
     ckpt_async: bool = False
 
     def resolved_ckpt_dir(self) -> str:
@@ -240,14 +234,6 @@ class Job:
             self.fabric.injector = self.injector
         self.coordinator: Optional[CheckpointCoordinator] = None
         if config.mana:
-            store = None
-            if config.ckpt_format >= 5:
-                from repro.mana.chunkstore import store_for
-
-                store = store_for(
-                    config.resolved_ckpt_dir(),
-                    compress_level=config.ckpt_compress_level,
-                )
             self.coordinator = CheckpointCoordinator(
                 config.nranks,
                 config.resolved_ckpt_dir(),
@@ -258,8 +244,6 @@ class Job:
                     if config.ckpt_phase_timeout is not None else 300.0
                 ),
                 round_retries=config.ckpt_round_retries,
-                chunk_store=store,
-                save_workers=config.ckpt_save_workers,
                 keep_generations=config.ckpt_keep_generations,
                 async_save=config.ckpt_async,
             )
@@ -804,9 +788,6 @@ class Launcher:
             faults=self.config.faults,
             ckpt_phase_timeout=self.config.ckpt_phase_timeout,
             ckpt_round_retries=self.config.ckpt_round_retries,
-            ckpt_format=self.config.ckpt_format,
-            ckpt_compress_level=self.config.ckpt_compress_level,
-            ckpt_save_workers=self.config.ckpt_save_workers,
             ckpt_keep_generations=self.config.ckpt_keep_generations,
             ckpt_async=self.config.ckpt_async,
         )
@@ -819,10 +800,6 @@ class Launcher:
             existing = latest_generations(ckpt_dir)
             if existing:
                 job.coordinator.generation = existing[-1]
-
-    @staticmethod
-    def available_generations(ckpt_dir: str) -> List[int]:
-        return latest_generations(ckpt_dir)
 
     @staticmethod
     def restorable(ckpt_dir: str) -> List[int]:

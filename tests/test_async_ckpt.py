@@ -67,12 +67,29 @@ class TestAsyncCorrectness:
     def test_first_generation_bit_identical_to_sync(self, tmp_path):
         """The snapshot happens at the same barrier state the sync path
         pickles at, so generation 1 (taken before any divergence in
-        charged checkpoint durations) must be byte-for-byte the same."""
+        charged checkpoint durations) must be byte-for-byte the same.
+        Both round kinds build its dedup summary, manifest fields and
+        ticket result with the same helpers, so those agree too."""
         sync_dir = str(tmp_path / "sync")
         async_dir = str(tmp_path / "async")
-        _run(_cfg(sync_dir, ckpt_async=False))
-        _run(_cfg(async_dir))
+        sync_job, _ = _run(_cfg(sync_dir, ckpt_async=False))
+        async_job, _ = _run(_cfg(async_dir))
         assert _image_bytes(sync_dir, 1) == _image_bytes(async_dir, 1)
+
+        sync_m = read_manifest(sync_dir, 1)
+        async_m = read_manifest(async_dir, 1)
+        assert "async" not in sync_m["extra"]
+        assert async_m["extra"] == dict(sync_m["extra"], **{"async": True})
+        # Everything else, the dedup summary included, is identical.
+        assert ({k: v for k, v in sync_m.items() if k != "extra"}
+                == {k: v for k, v in async_m.items() if k != "extra"})
+        sync_t, async_t = (job.coordinator.interval_tickets[0]
+                           for job in (sync_job, async_job))
+        assert sync_t.generation == async_t.generation == 1
+        assert sync_t.result["dedup"] == async_t.result["dedup"]
+        async_only = {"async", "snapshot_time", "drain_overrun", "drain_time"}
+        assert async_only <= set(async_t.result)
+        assert set(sync_t.result) == set(async_t.result) - async_only
 
     def test_async_run_is_deterministic(self, tmp_path):
         dirs = [str(tmp_path / d) for d in ("a", "b")]

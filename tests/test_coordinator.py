@@ -69,6 +69,33 @@ class TestTickets:
         with pytest.raises(RuntimeError):
             t.wait(1)
 
+    def test_result_lists_bytes_in_rank_order(self):
+        """The ticket result does not depend on which rank reached the
+        save gate first."""
+        c = coord()
+        t = c.request_checkpoint()
+        attempts = [c.begin_participation(r) for r in (0, 1)]
+
+        def stats(payload):
+            return {"payload_bytes": payload, "bytes_written": payload,
+                    "chunks_total": 1, "chunks_written": 1,
+                    "chunks_reused": 0}
+
+        late = threading.Thread(
+            target=c.saved, args=(1, 200, attempts[1]),
+            kwargs={"stats": stats(200)}, daemon=True,
+        )
+        late.start()
+        deadline = time.monotonic() + 5
+        while c._g_saved.arrived_ranks() != [1]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        c.saved(0, 100, attempts[0], stats=stats(100))
+        late.join(5)
+        assert t.result["bytes_per_rank"] == [100, 200]
+        assert t.result["dedup"]["payload_bytes"] == 300
+        c.abort(RuntimeError("test teardown"))
+
 
 class TestTriggers:
     def test_trigger_fires_on_iteration(self):

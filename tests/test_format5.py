@@ -115,6 +115,33 @@ class TestFormat4BackCompat:
         assert np.array_equal(img.app["state"], make_image().app["state"])
         assert image_chunk_refs(path) == []
 
+    def test_checked_in_fixture_loads(self):
+        """No job writes format 4 any more, so round-trip tests alone
+        would miss the writer and the reader drifting together.  The
+        fixture was written once by ``save_image`` and must keep
+        verifying and loading to the payload it was written with."""
+        path = os.path.join(os.path.dirname(__file__), "fixtures",
+                            "format4_rank00001.img")
+        header = verify_image(path)
+        assert header["format_version"] == 4
+        assert header["payload_bytes"] == 874
+        assert header["payload_sha256"] == (
+            "520da11c2d1364191cea6e7d34c49100b0e6adb54a4d514d97a0f6f4bc45fcd9"
+        )
+        img = load_image(path, expect_nranks=2)
+        assert (img.rank, img.nranks, img.impl, img.kind, img.generation) \
+            == (1, 2, "openmpi", "loop", 3)
+        assert img.app["name"] == "format-4 fixture"
+        assert img.app["values"] == list(range(10))
+        assert np.array_equal(img.app["state"],
+                              np.arange(16, dtype=np.int64) * 3)
+        assert img.loops == {"main": 7}
+        assert img.clock_state == {"now": 2.5, "accounts": {}}
+        assert (img.rng_state, img.cs_count, img.epoch) == (None, 4, 2)
+        assert isinstance(img.vid_table, VirtualIdTable)
+        assert isinstance(img.drain_buffer, DrainBuffer)
+        assert img.stored_bytes == os.path.getsize(path) == 1091
+
     def test_mixed_format_dir_validates(self, tmp_path):
         """A dir holding a v4 generation and a v5 generation — the
         upgrade-in-place scenario — validates both."""
@@ -249,60 +276,6 @@ class TestPruneAndGC:
         doc = read_manifest(base, 1)
         assert doc["dedup"]["chunks_written"] == agg["chunks_written"]
         assert doc["dedup"]["bytes_written"] == agg["bytes_written"]
-
-
-class TestPipelinedSave:
-    """The chunk-run TaskPool fan-out must be invisible in the output:
-    pipeline-written images are bit-identical to serial ones."""
-
-    def test_pooled_image_bit_identical_to_serial(self, tmp_path):
-        from repro.harness.parallel import TaskPool
-
-        rng = np.random.default_rng(11)
-        app = {"state": rng.integers(0, 256, size=2_000_000,
-                                     dtype=np.uint8)}
-        serial_base = str(tmp_path / "serial")
-        pooled_base = str(tmp_path / "pooled")
-        pool = TaskPool(4, name="t5-save")
-        try:
-            for base, use_pool in ((serial_base, None), (pooled_base, pool)):
-                store = store_for(base)
-                img = make_image(rank=0, generation=1, app=app)
-                save_chunked_image(
-                    rank_image_path(base, 1, 0), img, store, pool=use_pool
-                )
-        finally:
-            pool.shutdown()
-        with open(rank_image_path(serial_base, 1, 0), "rb") as f:
-            serial_bytes = f.read()
-        with open(rank_image_path(pooled_base, 1, 0), "rb") as f:
-            pooled_bytes = f.read()
-        assert serial_bytes == pooled_bytes
-        # Same chunk set on disk, and the pooled image restores.
-        assert (store_for(serial_base).digests()
-                == store_for(pooled_base).digests())
-        restored = load_image(rank_image_path(pooled_base, 1, 0))
-        assert np.array_equal(restored.app["state"], app["state"])
-
-    def test_pooled_save_stats_match_serial(self, tmp_path):
-        from repro.harness.parallel import TaskPool
-
-        rng = np.random.default_rng(12)
-        app = {"state": rng.integers(0, 256, size=1_000_000,
-                                     dtype=np.uint8)}
-        pool = TaskPool(3, name="t5-stats")
-        try:
-            stats = {}
-            for name, use_pool in (("serial", None), ("pooled", pool)):
-                base = str(tmp_path / name)
-                stats[name] = save_chunked_image(
-                    rank_image_path(base, 1, 0),
-                    make_image(rank=0, generation=1, app=app),
-                    store_for(base), pool=use_pool,
-                )
-        finally:
-            pool.shutdown()
-        assert stats["serial"] == stats["pooled"]
 
 
 class TestGenerationPins:
